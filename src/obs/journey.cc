@@ -66,8 +66,6 @@ const char* PktDispositionName(PktDisposition d) {
   return "?";
 }
 
-#ifndef PSD_OBS_DISABLE_JOURNEY
-
 DropLedger& DropLedger::Get() {
   static DropLedger* ledger = new DropLedger();
   return *ledger;
@@ -208,20 +206,6 @@ void PacketJourney::Reset() {
   hops_.clear();
   terminals_.clear();
 }
-
-#else  // PSD_OBS_DISABLE_JOURNEY
-
-DropLedger& DropLedger::Get() {
-  static DropLedger* ledger = new DropLedger();
-  return *ledger;
-}
-
-PacketJourney& PacketJourney::Get() {
-  static PacketJourney* journey = new PacketJourney();
-  return *journey;
-}
-
-#endif  // PSD_OBS_DISABLE_JOURNEY
 
 // ---------------------------------------------------------------------------
 // pktwalk rendering.

@@ -14,7 +14,7 @@
 //    ~25-35% wall on this engine — measured ~32% on a 2.1GHz Xeon, almost
 //    entirely rdtsc latency (~20ns) times boundary count. That is by
 //    design acceptable: bench trials are never profiled (host_profile rows
-//    come from one extra run), psdprof/trace_export runs are dedicated,
+//    come from one extra run), psd prof/trace runs are dedicated,
 //    and relative domain shares stay faithful because the stamp cost
 //    spreads uniformly over boundaries. This test bounds the running cost
 //    at 1.5x as a regression tripwire: it catches hot-path mistakes (an

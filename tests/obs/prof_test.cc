@@ -67,7 +67,7 @@ TEST(HostProf, DomainNamesAreUniqueAndStable) {
     ASSERT_NE(n, nullptr) << "domain " << i;
     EXPECT_TRUE(seen.insert(n).second) << "duplicate domain name: " << n;
   }
-  // Names other tools key on (bench_diff direction heuristics, flame roots).
+  // Names other tools key on (psd diff direction heuristics, flame roots).
   EXPECT_STREQ(ProfDomainName(ProfDomain::kOther), "other");
   EXPECT_STREQ(ProfDomainName(ProfDomain::kSimSched), "sim.sched");
   EXPECT_STREQ(ProfDomainName(ProfDomain::kFiberSwap), "fiber.swap");

@@ -1,4 +1,4 @@
-// pktwalk: replay a protolat workload and print packet life stories.
+// psd pktwalk: replay a protolat workload and print packet life stories.
 //
 // Every frame gets a packet id at its origin (src/obs/journey.h); pktwalk
 // runs the workload with the journey recorder on and then prints, for each
@@ -6,57 +6,20 @@
 // its terminal disposition — delivered, consumed, dropped(reason), or
 // in-flight-at-exit — plus the unified drop-reason ledger.
 //
-// Usage:
-//   pktwalk [--config NAME] [--proto udp|tcp] [--size BYTES] [--trials N]
-//           [--loss RATE] [--seed N] [--pkt N] [--drops] [--lost-only]
-//           [--json]
-//
 // Defaults: --config library-shm-ipf --proto tcp --size 64 --trials 20.
 //   --pkt N       only packet id N
 //   --lost-only   only packets that died or never finished
 //   --drops       only the drop ledger (totals + recent events)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "bench/common/workloads.h"
 #include "src/obs/journey.h"
+#include "tools/psd.h"
 
-using namespace psd;
+namespace psd {
 
-namespace {
-
-bool ParseConfig(const char* s, Config* out) {
-  struct {
-    const char* name;
-    Config cfg;
-  } static const kTable[] = {
-      {"in-kernel", Config::kInKernel},           {"server", Config::kServer},
-      {"library-ipc", Config::kLibraryIpc},       {"library-shm", Config::kLibraryShm},
-      {"library-shm-ipf", Config::kLibraryShmIpf},
-  };
-  for (const auto& e : kTable) {
-    if (strcasecmp(s, e.name) == 0) {
-      *out = e.cfg;
-      return true;
-    }
-  }
-  return false;
-}
-
-int Usage(const char* argv0) {
-  fprintf(stderr,
-          "usage: %s [--config in-kernel|server|library-ipc|library-shm|library-shm-ipf]\n"
-          "          [--proto udp|tcp] [--size BYTES] [--trials N]\n"
-          "          [--loss RATE] [--seed N] [--pkt N] [--drops] [--lost-only] [--json]\n",
-          argv0);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int PktwalkMain(int argc, char** argv) {
   Config config = Config::kLibraryShmIpf;
   ProtolatOptions opt;
   opt.proto = IpProto::kTcp;
@@ -66,51 +29,20 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   bool json = false;
   PktwalkFilter filter;
-
-  for (int i = 1; i < argc; i++) {
-    auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        fprintf(stderr, "%s requires an argument\n", flag);
-        exit(Usage(argv[0]));
-      }
-      return argv[++i];
-    };
-    if (strcmp(argv[i], "--config") == 0) {
-      const char* v = need("--config");
-      if (!ParseConfig(v, &config)) {
-        fprintf(stderr, "unknown config '%s'\n", v);
-        return Usage(argv[0]);
-      }
-    } else if (strcmp(argv[i], "--proto") == 0) {
-      const char* v = need("--proto");
-      if (strcmp(v, "udp") == 0) {
-        opt.proto = IpProto::kUdp;
-      } else if (strcmp(v, "tcp") == 0) {
-        opt.proto = IpProto::kTcp;
-      } else {
-        fprintf(stderr, "unknown proto '%s'\n", v);
-        return Usage(argv[0]);
-      }
-    } else if (strcmp(argv[i], "--size") == 0) {
-      opt.msg_size = static_cast<size_t>(atol(need("--size")));
-    } else if (strcmp(argv[i], "--trials") == 0) {
-      opt.trials = atoi(need("--trials"));
-    } else if (strcmp(argv[i], "--loss") == 0) {
-      loss = atof(need("--loss"));
-    } else if (strcmp(argv[i], "--seed") == 0) {
-      seed = static_cast<uint64_t>(atoll(need("--seed")));
-    } else if (strcmp(argv[i], "--pkt") == 0) {
-      filter.pkt = static_cast<uint64_t>(atoll(need("--pkt")));
-    } else if (strcmp(argv[i], "--drops") == 0) {
-      filter.drops_only = true;
-    } else if (strcmp(argv[i], "--lost-only") == 0) {
-      filter.lost_only = true;
-    } else if (strcmp(argv[i], "--json") == 0) {
-      json = true;
-    } else {
-      fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      return Usage(argv[0]);
-    }
+  FlagSet flags("pktwalk", {
+                               {"--config", kConfigMetavar, &config},
+                               {"--proto", "udp|tcp", &opt.proto},
+                               {"--size", "BYTES", &opt.msg_size},
+                               {"--trials", "N", &opt.trials},
+                               {"--loss", "RATE", &loss},
+                               {"--seed", "N", &seed},
+                               {"--pkt", "N", &filter.pkt},
+                               {"--drops", &filter.drops_only},
+                               {"--lost-only", &filter.lost_only},
+                               {"--json", &json},
+                           });
+  if (!flags.Parse(argc, argv)) {
+    return 2;
   }
 
   // One run, accounted from zero. Size the hop ring to hold every hop of
@@ -139,3 +71,5 @@ int main(int argc, char** argv) {
   fputs(out.c_str(), stdout);
   return 0;
 }
+
+}  // namespace psd

@@ -1,14 +1,10 @@
-// torture: scenario-driven adversarial fault runner (src/testbed/torture.h).
+// psd torture: scenario-driven adversarial fault runner (src/testbed/torture.h).
 //
 // Executes seeded randomized TCP/UDP workloads under a named fault scenario
 // on one placement (or all five) and checks the five torture invariants:
 // payload digests, journey conservation, exact corruption reconciliation,
 // leak-free teardown, and virtual-time progress. Fully replayable: the same
 // --seed/--scenario/--config prints a byte-identical report.
-//
-// Usage:
-//   torture [--scenario NAME|all] [--config NAME|all] [--seed N]
-//           [--mix NAME] [--artifacts DIR] [--list] [--list-mixes]
 //
 // Defaults: --scenario all --config in-kernel --seed 1.
 //   --mix NAME       attach an application-traffic mix (see --list-mixes) to
@@ -22,7 +18,6 @@
 //                    .pktwalk.txt and .pcap for postmortem
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,32 +26,11 @@
 #include "src/obs/pcap.h"
 #include "src/testbed/torture.h"
 #include "src/testbed/traffic_mix.h"
+#include "tools/psd.h"
 
-using namespace psd;
+namespace psd {
 
-namespace {
-
-struct ConfigEntry {
-  const char* name;
-  Config cfg;
-};
-const ConfigEntry kConfigs[] = {
-    {"in-kernel", Config::kInKernel},           {"server", Config::kServer},
-    {"library-ipc", Config::kLibraryIpc},       {"library-shm", Config::kLibraryShm},
-    {"library-shm-ipf", Config::kLibraryShmIpf},
-};
-
-int Usage(const char* argv0) {
-  fprintf(stderr,
-          "usage: %s [--scenario NAME|all] [--config NAME|all] [--seed N]\n"
-          "          [--mix NAME] [--artifacts DIR] [--list] [--list-mixes]\n",
-          argv0);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int TortureMain(int argc, char** argv) {
   if (getenv("TORTURE_LOG") != nullptr) {
     SetMinLogLevel(LogLevel::kTrace);  // debugging aid; stderr, not the report
   }
@@ -65,38 +39,31 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   std::string mix;
   std::string artifacts;
-  for (int i = 1; i < argc; i++) {
-    auto need = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        fprintf(stderr, "%s requires an argument\n", flag);
-        exit(Usage(argv[0]));
-      }
-      return argv[++i];
-    };
-    if (strcmp(argv[i], "--scenario") == 0) {
-      scenario = need("--scenario");
-    } else if (strcmp(argv[i], "--config") == 0) {
-      config = need("--config");
-    } else if (strcmp(argv[i], "--seed") == 0) {
-      seed = static_cast<uint64_t>(atoll(need("--seed")));
-    } else if (strcmp(argv[i], "--mix") == 0) {
-      mix = need("--mix");
-    } else if (strcmp(argv[i], "--artifacts") == 0) {
-      artifacts = need("--artifacts");
-    } else if (strcmp(argv[i], "--list") == 0) {
-      for (const TortureSpec& s : TortureScenarios()) {
-        printf("%-24s %s\n", s.name.c_str(), s.summary.c_str());
-      }
-      return 0;
-    } else if (strcmp(argv[i], "--list-mixes") == 0) {
-      for (const MixSpec& m : TrafficMixes()) {
-        printf("%-16s %s\n", m.name.c_str(), m.summary.c_str());
-      }
-      return 0;
-    } else {
-      fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-      return Usage(argv[0]);
+  bool list = false;
+  bool list_mixes = false;
+  FlagSet flags("torture", {
+                               {"--scenario", "NAME|all", &scenario},
+                               {"--config", "NAME|all", &config},
+                               {"--seed", "N", &seed},
+                               {"--mix", "NAME", &mix},
+                               {"--artifacts", "DIR", &artifacts},
+                               {"--list", &list},
+                               {"--list-mixes", &list_mixes},
+                           });
+  if (!flags.Parse(argc, argv)) {
+    return 2;
+  }
+  if (list) {
+    for (const TortureSpec& s : TortureScenarios()) {
+      printf("%-24s %s\n", s.name.c_str(), s.summary.c_str());
     }
+    return 0;
+  }
+  if (list_mixes) {
+    for (const MixSpec& m : TrafficMixes()) {
+      printf("%-16s %s\n", m.name.c_str(), m.summary.c_str());
+    }
+    return 0;
   }
 
   std::vector<TortureSpec> specs;
@@ -108,14 +75,14 @@ int main(int argc, char** argv) {
     const TortureSpec* s = FindTortureScenario(scenario);
     if (s == nullptr) {
       fprintf(stderr, "unknown scenario '%s' (try --list)\n", scenario.c_str());
-      return Usage(argv[0]);
+      return flags.Usage();
     }
     specs.push_back(*s);
   }
   if (!mix.empty()) {
     if (FindTrafficMix(mix) == nullptr) {
       fprintf(stderr, "unknown mix '%s' (try --list-mixes)\n", mix.c_str());
-      return Usage(argv[0]);
+      return flags.Usage();
     }
     // Compose: the chosen mix rides every selected scenario's fault plan.
     // The report header stays keyed by scenario+mix so replay diffs line up.
@@ -124,27 +91,18 @@ int main(int argc, char** argv) {
       s.name += "+" + mix;
     }
   }
-  std::vector<ConfigEntry> configs;
-  if (config == "all") {
-    configs.assign(kConfigs, kConfigs + 5);
-  } else {
-    for (const ConfigEntry& e : kConfigs) {
-      if (strcasecmp(config.c_str(), e.name) == 0) {
-        configs.push_back(e);
-      }
-    }
-    if (configs.empty()) {
-      fprintf(stderr, "unknown config '%s'\n", config.c_str());
-      return Usage(argv[0]);
-    }
+  std::vector<PlacementName> configs = ResolveConfig(config, /*allow_all=*/true);
+  if (configs.empty()) {
+    fprintf(stderr, "unknown config '%s'\n", config.c_str());
+    return flags.Usage();
   }
 
   int runs = 0;
   int failures = 0;
   for (const TortureSpec& s : specs) {
-    for (const ConfigEntry& c : configs) {
+    for (const PlacementName& c : configs) {
       PcapCapture pcap;
-      TortureResult r = RunTorture(c.cfg, s, seed, &pcap);
+      TortureResult r = RunTorture(c.config, s, seed, &pcap);
       fputs(r.report.c_str(), stdout);
       fputs("\n", stdout);
       runs++;
@@ -170,3 +128,5 @@ int main(int argc, char** argv) {
          static_cast<unsigned long long>(seed));
   return failures == 0 ? 0 : 1;
 }
+
+}  // namespace psd
