@@ -264,14 +264,8 @@ std::string HostProfileJsonFragment(const HostProfReport& r) {
 // ---------------------------------------------------------------------------
 // HostProfiler
 
-HostProfiler& HostProfiler::Get() {
-  static HostProfiler* p = new HostProfiler();  // never destroyed: gauges and
-  return *p;                                    // late pops may outlive main
-}
-
 HostProfiler::HostProfiler() {
-  nodes_.push_back(PathNode{0, 0xffff, {}});  // sentinel root
-  node_ticks_.push_back(0);
+  nodes_.push_back(PathNode{0, 0xffff, 0, 0, {}});  // sentinel root
   base_node_ = InternChild(0, ProfDomain::kOther);
   fiber_node_ = InternChild(0, ProfDomain::kFiberRun);
   swap_node_ = InternChild(0, ProfDomain::kFiberSwap);
@@ -285,23 +279,19 @@ HostProfiler::HostProfiler() {
 
 uint32_t HostProfiler::InternChild(uint32_t parent, ProfDomain d) {
   uint16_t dom = static_cast<uint16_t>(d);
-  for (const auto& [kd, idx] : nodes_[parent].kids) {
-    if (kd == dom) {
-      return idx;
-    }
+  uint32_t idx = nodes_[parent].kids[dom];
+  if (idx != 0) {
+    return idx;
   }
-  uint32_t idx = static_cast<uint32_t>(nodes_.size());
-  nodes_[parent].kids.emplace_back(dom, idx);
-  nodes_.push_back(PathNode{parent, dom, {}});
-  node_ticks_.push_back(0);
+  idx = static_cast<uint32_t>(nodes_.size());
+  nodes_[parent].kids[dom] = idx;
+  nodes_.push_back(PathNode{parent, dom, 0, 0, {}});
   return idx;
 }
 
 void HostProfiler::ResetCtx(Ctx* c) {
-  c->stack.clear();
-  uint32_t root_node = c->root == ProfDomain::kFiberRun ? fiber_node_ : base_node_;
-  c->stack.push_back(Frame{static_cast<uint16_t>(c->root), root_node, last_tick_});
-  c->epoch = epoch_;
+  c->path = c->root == ProfDomain::kFiberRun ? fiber_node_ : base_node_;
+  c->ticks = 0;
 }
 
 int HostProfiler::InternFiber(const std::string& normalized) {
@@ -314,7 +304,6 @@ int HostProfiler::InternFiber(const std::string& normalized) {
   }
   int slot = static_cast<int>(fiber_names_.size());
   fiber_names_.push_back(normalized);
-  fiber_ticks_.push_back(0);
   fiber_index_.emplace(normalized, slot);
   return slot;
 }
@@ -331,23 +320,23 @@ uint32_t HostProfiler::RegisterCtx(const std::string& fiber_name) {
 
 void HostProfiler::Start() {
   epoch_++;
-  for (auto& row : domains_) {
-    row = DomainRow{};
+  for (PathNode& n : nodes_) {
+    n.count = 0;
+    n.ticks = 0;
   }
-  std::fill(node_ticks_.begin(), node_ticks_.end(), 0);
-  std::fill(fiber_ticks_.begin(), fiber_ticks_.end(), 0);
-  base_ticks_ = 0;
   spans_.clear();
   swap_pending_ = false;
   cur_ctx_ = 0;
   start_steady_ = std::chrono::steady_clock::now();
   start_tick_ = NowTicks();
   last_tick_ = start_tick_;
+  ctx_since_ = start_tick_;
   for (Ctx& c : ctxs_) {
     ResetCtx(&c);
   }
+  cur_path_ = ctxs_[0].path;
   running_ = true;
-  enabled_ = true;
+  active_ = this;
 }
 
 void HostProfiler::Stop() {
@@ -355,10 +344,11 @@ void HostProfiler::Stop() {
     return;
   }
   Accrue(NowTicks());
+  CloseCtxShare(last_tick_);
   stop_tick_ = last_tick_;
   stop_steady_ = std::chrono::steady_clock::now();
   running_ = false;
-  enabled_ = false;
+  active_ = nullptr;
 }
 
 void HostProfiler::RecordSpans(size_t capacity) {
@@ -367,85 +357,10 @@ void HostProfiler::RecordSpans(size_t capacity) {
   spans_.reserve(std::min<size_t>(capacity, 1 << 20));
 }
 
-HostProfiler::Token HostProfiler::Push(ProfDomain d) {
-  uint64_t now = NowTicks();
-  Accrue(now);
-  Ctx& c = ctxs_[cur_ctx_];
-  uint32_t path = InternChild(c.stack.back().path, d);
-  c.stack.push_back(Frame{static_cast<uint16_t>(d), path, now});
-  domains_[static_cast<size_t>(d)].count++;
-  return Token{cur_ctx_, static_cast<uint32_t>(c.stack.size()), epoch_};
-}
-
-void HostProfiler::Pop(const Token& t) {
-  if (t.epoch != epoch_ || t.ctx >= ctxs_.size()) {
-    return;  // scope crossed a Start(); its frame was reset away
+void HostProfiler::RecordSpan(const Token& t, uint64_t end_tick) {
+  if (spans_.size() < span_cap_) {
+    spans_.push_back(RawSpan{nodes_[cur_path_].domain, t.ctx, t.start_tick, end_tick});
   }
-  Ctx& c = ctxs_[t.ctx];
-  if (c.stack.size() != t.depth || t.depth <= 1) {
-    return;  // imbalance from a Stop/Start window inside the scope
-  }
-  uint64_t now = NowTicks();
-  if (running_ && cur_ctx_ == t.ctx) {
-    Accrue(now);
-  }
-  if (running_ && record_spans_ && spans_.size() < span_cap_) {
-    const Frame& f = c.stack.back();
-    spans_.push_back(RawSpan{f.domain, t.ctx, f.start_tick, now});
-  }
-  c.stack.pop_back();
-}
-
-uint32_t HostProfiler::Depart() {
-  if (!running_) {
-    return cur_ctx_;
-  }
-  Accrue(NowTicks());
-  swap_pending_ = true;
-  return cur_ctx_;
-}
-
-void HostProfiler::Arrive(uint32_t ctx) {
-  if (!running_) {
-    swap_pending_ = false;
-    return;
-  }
-  if (ctx >= ctxs_.size()) {
-    ctx = 0;
-  }
-  uint64_t now = NowTicks();
-  if (swap_pending_) {
-    uint64_t d = now - last_tick_;
-    last_tick_ = now;
-    DomainRow& row = domains_[static_cast<size_t>(ProfDomain::kFiberSwap)];
-    row.ticks += d;
-    row.count++;
-    node_ticks_[swap_node_] += d;
-    swap_pending_ = false;
-  } else {
-    // No matching Depart (the profiler started mid-transfer): charge the
-    // interval to whatever was running and just switch.
-    Accrue(now);
-  }
-  cur_ctx_ = ctx;
-  Ctx& c = ctxs_[ctx];
-  if (c.epoch != epoch_) {
-    ResetCtx(&c);
-  }
-  if (c.root == ProfDomain::kFiberRun) {
-    domains_[static_cast<size_t>(ProfDomain::kFiberRun)].count++;
-  }
-}
-
-void HostProfiler::ArriveFiber(uint32_t* ctx_slot, const std::string& fiber_name) {
-  if (!running_) {
-    swap_pending_ = false;
-    return;
-  }
-  if (*ctx_slot == 0 || *ctx_slot >= ctxs_.size()) {
-    *ctx_slot = RegisterCtx(fiber_name);
-  }
-  Arrive(*ctx_slot);
 }
 
 double HostProfiler::NsPerTickNow() const {
@@ -458,6 +373,26 @@ double HostProfiler::NsPerTickNow() const {
   double ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end_steady - start_steady_).count());
   return ns / static_cast<double>(ticks);
+}
+
+uint64_t HostProfiler::SlotTicks(int slot) const {
+  uint64_t ticks = 0;
+  for (const Ctx& c : ctxs_) {
+    if (c.fiber_slot == slot) {
+      ticks += c.ticks;
+    }
+  }
+  return ticks;
+}
+
+void HostProfiler::DomainTotals(uint64_t counts[kDomainCount],
+                                uint64_t ticks[kDomainCount]) const {
+  std::fill(counts, counts + kDomainCount, 0);
+  std::fill(ticks, ticks + kDomainCount, 0);
+  for (uint32_t n = 1; n < nodes_.size(); n++) {
+    counts[nodes_[n].domain] += nodes_[n].count;
+    ticks[nodes_[n].domain] += nodes_[n].ticks;
+  }
 }
 
 std::string HostProfiler::PathString(uint32_t node) const {
@@ -485,6 +420,7 @@ HostProfReport HostProfiler::Snapshot() {
   std::chrono::steady_clock::time_point end_steady;
   if (running_) {
     Accrue(NowTicks());
+    CloseCtxShare(last_tick_);
     end_tick = last_tick_;
     end_steady = std::chrono::steady_clock::now();
   } else {
@@ -497,14 +433,16 @@ HostProfReport HostProfiler::Snapshot() {
   r.ns_per_tick = tick_span == 0 ? 1.0 : r.wall_ns / static_cast<double>(tick_span);
   r.host = ReadHostContext();
 
+  uint64_t counts[kNumDomains];
+  uint64_t ticks[kNumDomains];
+  DomainTotals(counts, ticks);
   for (size_t i = 0; i < kNumDomains; i++) {
-    const DomainRow& row = domains_[i];
-    if (row.count == 0 && row.ticks == 0) {
+    if (counts[i] == 0 && ticks[i] == 0) {
       continue;
     }
     r.domains.push_back(HostProfReport::Dom{static_cast<ProfDomain>(i), kDomainNames[i],
-                                            row.count,
-                                            static_cast<double>(row.ticks) * r.ns_per_tick});
+                                            counts[i],
+                                            static_cast<double>(ticks[i]) * r.ns_per_tick});
   }
   std::sort(r.domains.begin(), r.domains.end(),
             [](const auto& a, const auto& b) { return a.total_ns > b.total_ns; });
@@ -517,20 +455,19 @@ HostProfReport HostProfiler::Snapshot() {
   }
   r.unattributed_ns = std::max(0.0, r.wall_ns - r.attributed_ns - r.other_ns);
 
-  if (base_ticks_ > 0) {
-    r.fibers.emplace_back("(main)", static_cast<double>(base_ticks_) * r.ns_per_tick);
-  }
-  for (size_t i = 0; i < fiber_names_.size(); i++) {
-    if (fiber_ticks_[i] > 0) {
-      r.fibers.emplace_back(fiber_names_[i], static_cast<double>(fiber_ticks_[i]) * r.ns_per_tick);
+  for (int slot = -1; slot < static_cast<int>(fiber_names_.size()); slot++) {
+    uint64_t ticks = SlotTicks(slot);
+    if (ticks > 0) {
+      r.fibers.emplace_back(slot < 0 ? "(main)" : fiber_names_[static_cast<size_t>(slot)],
+                            static_cast<double>(ticks) * r.ns_per_tick);
     }
   }
   std::sort(r.fibers.begin(), r.fibers.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
 
   for (uint32_t n = 1; n < nodes_.size(); n++) {
-    if (node_ticks_[n] > 0) {
-      r.stacks.emplace_back(PathString(n), static_cast<double>(node_ticks_[n]) * r.ns_per_tick);
+    if (nodes_[n].ticks > 0) {
+      r.stacks.emplace_back(PathString(n), static_cast<double>(nodes_[n].ticks) * r.ns_per_tick);
     }
   }
   std::sort(r.stacks.begin(), r.stacks.end(),
@@ -561,16 +498,21 @@ void HostProfiler::ExportStats(StatsRegistry* reg, const std::string& prefix) co
   });
   for (size_t i = 0; i < kNumDomains; i++) {
     reg->RegisterGauge(prefix + kDomainNames[i], [self, i] {
-      return static_cast<uint64_t>(static_cast<double>(self->domains_[i].ticks) *
-                                   self->NsPerTickNow());
+      uint64_t counts[kNumDomains];
+      uint64_t ticks[kNumDomains];
+      self->DomainTotals(counts, ticks);
+      return static_cast<uint64_t>(static_cast<double>(ticks[i]) * self->NsPerTickNow());
     });
   }
   // Fibers seen so far; fibers first scheduled after this call accumulate
   // but are only visible through Snapshot().
   for (size_t i = 0; i < fiber_names_.size(); i++) {
     reg->RegisterGauge(prefix + "fiber." + fiber_names_[i], [self, i] {
-      return static_cast<uint64_t>(static_cast<double>(self->fiber_ticks_[i]) *
-                                   self->NsPerTickNow());
+      uint64_t ticks = self->SlotTicks(static_cast<int>(i));
+      if (self->running_ && self->ctxs_[self->cur_ctx_].fiber_slot == static_cast<int>(i)) {
+        ticks += NowTicks() - self->ctx_since_;  // the running fiber's open share
+      }
+      return static_cast<uint64_t>(static_cast<double>(ticks) * self->NsPerTickNow());
     });
   }
 }

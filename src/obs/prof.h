@@ -8,10 +8,11 @@
 // optimization work by (ROADMAP item 2), and so the NIC-offload cost model
 // (item 3) can be calibrated from measured per-stage host costs.
 //
-// Model: interval attribution. The profiler keeps one open-scope stack per
-// execution context (each SimThread fiber plus one base context for the
-// event loop / main thread). Every profiler operation — scope push, scope
-// pop, context switch — reads the TSC once and charges the nanoseconds
+// Model: interval attribution. Each execution context (each SimThread fiber
+// plus one base context for the event loop / main thread) has its own stack
+// of open scopes: the RAII scopes on that context's stack, each remembering
+// its parent's node in a path tree. Every profiler operation — scope push,
+// scope pop, context switch — reads the TSC once and charges the nanoseconds
 // since the previous operation to the innermost open scope of the context
 // that was running. Consequences, all deliberate:
 //   * Exclusive semantics fall out for free: a parent scope is only charged
@@ -21,7 +22,8 @@
 //     Charge() yield) is NOT charged for the host time other fibers consume
 //     while it waits — its stack is simply not the running one.
 //   * The gap between a context switch's "depart" and "arrive" edges is
-//     exactly the ucontext swap cost, charged to fiber.swap.
+//     exactly the fiber switch cost (simulator.cc's register switch plus
+//     the profiler's own two stamps), charged to fiber.swap.
 //   * Everything between Start() and the snapshot lands somewhere: time
 //     outside any explicit scope is charged to the context's root domain
 //     (fiber.run for fibers, "other" for the base context), so attribution
@@ -31,7 +33,7 @@
 // host clock and write into profiler-private arrays, never into simulation
 // state, and scopes charge no virtual cost. The determinism A/B matrix
 // (wheel vs heap x 5 placements) runs with the profiler attached to prove
-// it. Cost when compiled in but not running: one static bool load per
+// it. Cost when compiled in but not running: one static pointer load per
 // site. PSD_OBS_DISABLE_PROF compiles every site out entirely.
 //
 // Timing: raw TSC reads (x86_64 rdtsc / aarch64 cntvct), calibrated against
@@ -61,7 +63,7 @@ enum class ProfDomain : uint8_t {
   kOther = 0,       // base-context root: setup, teardown, unscoped host work
   kSimSched,        // event-loop dispatch + timer-wheel/heap insert
   kSimEvent,        // event-context closures (timers, wire arms, wakeups)
-  kFiberSwap,       // ucontext swap cost (depart->arrive gap)
+  kFiberSwap,       // fiber switch cost (depart->arrive gap)
   kFiberRun,        // fiber bodies outside any tracked scope
   kPoolFrame,       // FramePool acquire/copy/recycle
   kPoolMbuf,        // mbuf cluster pool ops
@@ -155,18 +157,25 @@ std::string HostProfileJsonFragment(const HostProfReport& r);
 
 class HostProfiler {
  public:
-  // Pop token: pops are matched by (context, depth, epoch) instead of a
-  // global stack so scopes stay balanced even if Start/Stop toggled between
-  // a scope's entry and exit, and so a scope always pops from the context
-  // it pushed onto.
+  // Pop token: the scope's parent path node, restored on pop, plus the
+  // (context, epoch) it was pushed in, so a scope whose window was reset by
+  // a Start() in between pops as a no-op. So does a default token (epoch 0
+  // matches no window).
   struct Token {
     uint32_t ctx = 0;
-    uint32_t depth = 0;
+    uint32_t parent = 0;
     uint64_t epoch = 0;
+    uint64_t start_tick = 0;  // for span recording (inclusive duration)
   };
 
-  static HostProfiler& Get();
-  static bool enabled() { return enabled_; }
+  static HostProfiler& Get() {
+    static HostProfiler* p = new HostProfiler();  // never destroyed: gauges and
+    return *p;                                    // late pops may outlive main
+  }
+  static bool enabled() { return active_ != nullptr; }
+  // The profiler while a window is running, else nullptr (one load serves
+  // as both the enabled check and the instance on the scope hot path).
+  static HostProfiler* active() { return active_; }
 
   // Resets all accumulators and begins a measurement window. Call outside
   // Simulator::Run() (the usual shape: Start, build world, run, Snapshot,
@@ -189,19 +198,86 @@ class HostProfiler {
   // callbacks reference the singleton: safe for any registry lifetime.
   void ExportStats(StatsRegistry* reg, const std::string& prefix = "prof.") const;
 
-  // --- Hot path -------------------------------------------------------
+  // --- Hot path (inline: every stamp the profiler adds lands here) -----
 
-  Token Push(ProfDomain d);
-  void Pop(const Token& t);
+  Token Push(ProfDomain d) {
+    PathNode& top = nodes_[cur_path_];
+    if (top.domain == static_cast<uint16_t>(d)) {
+      // Nested directly in its own domain: both sides of the split would
+      // charge the same domain, so count the entry and skip both stamps.
+      top.count++;
+      return Token{};
+    }
+    uint64_t now = NowTicks();
+    Accrue(now);
+    Token t{cur_ctx_, cur_path_, epoch_, now};
+    uint32_t child = nodes_[cur_path_].kids[static_cast<size_t>(d)];
+    cur_path_ = child != 0 ? child : InternChild(cur_path_, d);
+    nodes_[cur_path_].count++;
+    return t;
+  }
+
+  void Pop(const Token& t) {
+    if (!running_ || t.epoch != epoch_ || t.ctx != cur_ctx_) {
+      return;  // window reset or stopped since the push
+    }
+    uint64_t now = NowTicks();
+    Accrue(now);
+    if (record_spans_) {
+      RecordSpan(t, now);
+    }
+    cur_path_ = t.parent;
+  }
 
   // Context-switch edges, called from the simulator's swap sites. Depart
   // charges the running scope up to now and returns the current context id
   // (so the resuming side can restore it); Arrive charges the gap since the
   // matching Depart to fiber.swap and makes `ctx` current. ArriveFiber
   // lazily registers a fiber context through the caller's cached id slot.
-  uint32_t Depart();
-  void Arrive(uint32_t ctx);
-  void ArriveFiber(uint32_t* ctx_slot, const std::string& fiber_name);
+  uint32_t Depart() {
+    if (running_) {
+      Accrue(NowTicks());
+      CloseCtxShare(last_tick_);
+      ctxs_[cur_ctx_].path = cur_path_;
+      swap_pending_ = true;
+    }
+    return cur_ctx_;
+  }
+
+  void Arrive(uint32_t ctx) {
+    if (!running_) {
+      swap_pending_ = false;
+      return;
+    }
+    uint64_t now = NowTicks();
+    if (swap_pending_) {
+      PathNode& swap = nodes_[swap_node_];
+      swap.ticks += now - last_tick_;
+      swap.count++;
+      last_tick_ = now;
+      swap_pending_ = false;
+    } else {
+      // No matching Depart (the profiler started mid-transfer): charge the
+      // interval to whatever was running and just switch.
+      Accrue(now);
+      CloseCtxShare(now);
+      ctxs_[cur_ctx_].path = cur_path_;
+    }
+    ctx_since_ = now;
+    cur_ctx_ = ctx < ctxs_.size() ? ctx : 0;
+    const Ctx& c = ctxs_[cur_ctx_];
+    cur_path_ = c.path;
+    if (c.root == ProfDomain::kFiberRun) {
+      nodes_[fiber_node_].count++;
+    }
+  }
+
+  void ArriveFiber(uint32_t* ctx_slot, const std::string& fiber_name) {
+    if (running_ && (*ctx_slot == 0 || *ctx_slot >= ctxs_.size())) {
+      *ctx_slot = RegisterCtx(fiber_name);
+    }
+    Arrive(*ctx_slot);
+  }
 
   static uint64_t NowTicks() {
 #if defined(__x86_64__)
@@ -219,26 +295,22 @@ class HostProfiler {
  private:
   HostProfiler();
 
-  struct Frame {
-    uint16_t domain;
-    uint32_t path;        // node index in the path tree
-    uint64_t start_tick;  // for span recording (inclusive duration)
-  };
-  struct Ctx {
-    std::vector<Frame> stack;  // [0] is the root frame and never pops
-    ProfDomain root;
-    int fiber_slot = -1;  // index into fiber_names_/fiber_ticks_, -1 = base
-    uint64_t epoch = 0;
-    std::string name;  // normalized fiber name ("(main)" for the base ctx)
-  };
+  static constexpr size_t kDomainCount = static_cast<size_t>(ProfDomain::kNumDomains);
+  // One node per distinct scope path. Every accrual lands on exactly one
+  // node; domain totals and gauges are sums derived at read time.
   struct PathNode {
     uint32_t parent;
     uint16_t domain;
-    std::vector<std::pair<uint16_t, uint32_t>> kids;  // domain -> node
+    uint64_t count = 0;           // scope entries (fiber.swap / fiber.run: arrivals)
+    uint64_t ticks = 0;           // exclusive ticks
+    uint32_t kids[kDomainCount];  // child node by domain; 0 = none yet
   };
-  struct DomainRow {
-    uint64_t count = 0;
-    uint64_t ticks = 0;
+  struct Ctx {
+    uint32_t path = 0;    // innermost open scope while this context is parked
+    uint64_t ticks = 0;   // exclusive ticks, closed at each Depart
+    ProfDomain root;
+    int fiber_slot = -1;  // index into fiber_names_, -1 = base
+    std::string name;     // normalized fiber name ("(main)" for the base ctx)
   };
   struct RawSpan {
     uint16_t domain;
@@ -249,33 +321,38 @@ class HostProfiler {
 
   // Charges ticks since the previous operation to the running scope.
   void Accrue(uint64_t now) {
-    uint64_t d = now - last_tick_;
+    nodes_[cur_path_].ticks += now - last_tick_;
     last_tick_ = now;
-    Ctx& c = ctxs_[cur_ctx_];
-    const Frame& f = c.stack.back();
-    domains_[f.domain].ticks += d;
-    node_ticks_[f.path] += d;
-    if (c.fiber_slot >= 0) {
-      fiber_ticks_[static_cast<size_t>(c.fiber_slot)] += d;
-    } else {
-      base_ticks_ += d;
-    }
   }
+  // Closes the running context's share at `now` (its exclusive time is
+  // exactly the span between its Arrive and its Depart).
+  void CloseCtxShare(uint64_t now) {
+    ctxs_[cur_ctx_].ticks += now - ctx_since_;
+    ctx_since_ = now;
+  }
+  // Closed exclusive ticks of every context in fiber slot `slot` (-1: the
+  // base context).
+  uint64_t SlotTicks(int slot) const;
+  // Per-domain {count, ticks} summed over the path tree.
+  void DomainTotals(uint64_t counts[kDomainCount], uint64_t ticks[kDomainCount]) const;
 
   uint32_t InternChild(uint32_t parent, ProfDomain d);
+  void RecordSpan(const Token& t, uint64_t end_tick);
   uint32_t RegisterCtx(const std::string& fiber_name);
   void ResetCtx(Ctx* c);
   int InternFiber(const std::string& normalized);
   double NsPerTickNow() const;
   std::string PathString(uint32_t node) const;
 
-  static inline bool enabled_ = false;
+  static inline HostProfiler* active_ = nullptr;
 
   bool running_ = false;
   uint64_t epoch_ = 0;
   uint64_t last_tick_ = 0;
   bool swap_pending_ = false;
   uint32_t cur_ctx_ = 0;
+  uint32_t cur_path_ = 0;   // innermost open scope of the running context
+  uint64_t ctx_since_ = 0;  // tick the running context's share opened at
 
   uint64_t start_tick_ = 0;
   uint64_t stop_tick_ = 0;
@@ -284,34 +361,29 @@ class HostProfiler {
 
   std::vector<Ctx> ctxs_;  // [0] = base context; grows, never shrinks
   std::vector<PathNode> nodes_;
-  std::vector<uint64_t> node_ticks_;
-  DomainRow domains_[static_cast<size_t>(ProfDomain::kNumDomains)] = {};
   uint32_t base_node_ = 0;   // root path node of the base context
   uint32_t fiber_node_ = 0;  // shared root path node of every fiber context
   uint32_t swap_node_ = 0;   // path node fiber.swap gaps accrue to
 
   std::vector<std::string> fiber_names_;  // normalized, interned
-  std::vector<uint64_t> fiber_ticks_;
   std::unordered_map<std::string, int> fiber_index_;
-  uint64_t base_ticks_ = 0;
 
   bool record_spans_ = false;
   size_t span_cap_ = 0;
   std::vector<RawSpan> spans_;
 };
 
-// RAII scope. Cost when the profiler is off: one static bool load.
+// RAII scope. Cost when the profiler is off: one static pointer load.
 class ProfScope {
  public:
-  explicit ProfScope(ProfDomain d) {
-    if (HostProfiler::enabled()) {
-      tok_ = HostProfiler::Get().Push(d);
-      open_ = true;
+  explicit ProfScope(ProfDomain d) : prof_(HostProfiler::active()) {
+    if (prof_ != nullptr) {
+      tok_ = prof_->Push(d);
     }
   }
   ~ProfScope() {
-    if (open_) {
-      HostProfiler::Get().Pop(tok_);
+    if (prof_ != nullptr) {
+      prof_->Pop(tok_);
     }
   }
 
@@ -319,8 +391,8 @@ class ProfScope {
   ProfScope& operator=(const ProfScope&) = delete;
 
  private:
+  HostProfiler* prof_;
   HostProfiler::Token tok_;
-  bool open_ = false;
 };
 
 #define PSD_PROF_SCOPE_CAT2(a, b) a##b
@@ -340,6 +412,7 @@ class HostProfiler {
     return p;
   }
   static constexpr bool enabled() { return false; }
+  static constexpr HostProfiler* active() { return nullptr; }
 
   void Start() {}
   void Stop() {}

@@ -6,8 +6,69 @@
 #include <exception>
 #include <optional>
 
-#include "src/base/log.h"
-#include <cstdio>
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+
+#if defined(__x86_64__)
+// psd_fiber_switch(void** save_sp, void* load_sp) — one control transfer.
+// Pushes the System V callee-saved state (rbp, rbx, r12-r15, then MXCSR and
+// the x87 control word), publishes rsp through *save_sp, adopts load_sp and
+// pops the other side's state in reverse, returning into that side. No
+// signal mask is saved: fibers never change it, which is what keeps a swap
+// out of the kernel (glibc swapcontext makes an rt_sigprocmask syscall).
+//
+// psd_fiber_entry is where a new fiber's first switch returns (the initial
+// frame is laid out by SimThread's constructor): it calls r12(rbx), i.e.
+// SimThread::FiberEntry(this), which never returns. rip is marked undefined
+// so unwinders stop at the bottom of a fiber stack.
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl psd_fiber_switch
+  .hidden psd_fiber_switch
+  .type psd_fiber_switch, @function
+psd_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size psd_fiber_switch, .-psd_fiber_switch
+
+  .globl psd_fiber_entry
+  .hidden psd_fiber_entry
+  .type psd_fiber_entry, @function
+psd_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %rbx, %rdi
+  callq *%r12
+  ud2
+  .cfi_endproc
+  .size psd_fiber_entry, .-psd_fiber_entry
+  .popsection
+)");
+
+extern "C" void psd_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void psd_fiber_entry();
+#endif
 
 namespace psd {
 
@@ -16,12 +77,28 @@ namespace {
 // Min-heap comparator for the legacy backend: true when `a` executes later.
 bool NodeAfter(const EventNode* a, const EventNode* b) { return b->Before(*a); }
 
+// ASan tracks one stack per OS thread. Announcing every fiber switch keeps
+// its shadow memory and fake stacks (detect_stack_use_after_return) on the
+// stack that actually runs: StartSwitch before leaving (a null `fake_stack`
+// on a fiber's final exit frees its fake stack), FinishSwitch on arrival,
+// which also reports the stack that was left.
+#if defined(__SANITIZE_ADDRESS__)
+void StartSwitch(void** fake_stack, const void* bottom, size_t size) {
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+}
+void FinishSwitch(void* fake_stack, const void** bottom_old, size_t* size_old) {
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+}
+#else
+void StartSwitch(void**, const void*, size_t) {}
+void FinishSwitch(void*, const void**, size_t*) {}
+#endif
+
 }  // namespace
 
 Simulator::Simulator() {
   const char* env = std::getenv("PSD_SIM_HEAP_SCHEDULER");
   use_heap_ = env != nullptr && *env != '\0' && *env != '0';
-  trace_ = std::getenv("PSD_SIM_TRACE") != nullptr;
 }
 
 Simulator::~Simulator() {
@@ -133,7 +210,6 @@ void Simulator::Run(SimTime until) {
     RemovePeeked(n);
     now_ = n->time;
     events_executed_++;
-    if (trace_) std::fprintf(stderr, "EV %lld %llu\n", (long long)n->time, (unsigned long long)n->seq);
     if (n->resumes != nullptr) {
       SimThread* t = n->resumes;
       arena_.Free(n);
@@ -173,10 +249,12 @@ bool Simulator::TryFastResume(SimThread* t, EventNode* n) {
   // The drain IS the scheduler, just running on a fiber's OS context: charge
   // it to sim.sched (nested under whatever scope the fiber holds open), with
   // closure bodies under sim.event, exactly like the main loop. The scope
-  // opens lazily, once the drain commits to processing an event: most calls
-  // bail on the first peek, and paying two TSC stamps on that path roughly
-  // doubled the profiler's whole-run overhead (the peek itself is a few ns
-  // and charges to whatever scope the caller holds — noise).
+  // opens lazily, only once the drain runs a closure: most calls bail on
+  // the first peek, consume the thread's own wakeup or enter a parked fiber
+  // (whose swap edges stamp the TSC anyway), and paying two more stamps on
+  // those paths roughly doubled the profiler's whole-run overhead. Their
+  // peek/pop is a few ns and charges to whatever scope the caller holds —
+  // noise.
   std::optional<ProfScope> prof_sched;
   while (!stopped_) {
     EventNode* top = PeekNext();
@@ -187,13 +265,9 @@ bool Simulator::TryFastResume(SimThread* t, EventNode* n) {
     if (u != nullptr && u != t && !u->parked_ && !u->finished_) {
       return false;  // on the token chain above us: unwind to it
     }
-    if (!prof_sched.has_value()) {
-      prof_sched.emplace(ProfDomain::kSimSched);
-    }
     RemovePeeked(top);
     now_ = top->time;
     events_executed_++;
-    if (trace_) std::fprintf(stderr, "EV %lld %llu\n", (long long)top->time, (unsigned long long)top->seq);
     if (top == n) {
       arena_.Free(n);
       return true;
@@ -207,6 +281,9 @@ bool Simulator::TryFastResume(SimThread* t, EventNode* n) {
         current_ = t;
       }
     } else {
+      if (!prof_sched.has_value()) {
+        prof_sched.emplace(ProfDomain::kSimSched);
+      }
       current_ = nullptr;
       {
         ProfScope prof_ev(ProfDomain::kSimEvent);
@@ -247,6 +324,29 @@ void Simulator::ResumeThread(SimThread* t) {
 SimThread::SimThread(Simulator* sim, std::string name, HostCpu* cpu, std::function<void()> body)
     : sim_(sim), name_(std::move(name)), cpu_(cpu), body_(std::move(body)) {
   stack_.reset(new uint8_t[kStackBytes]);
+#if defined(__x86_64__)
+  // The frame the first switch into this fiber pops: the x87 control word
+  // and MXCSR (the spawner's, as a new thread inherits its creator's FP
+  // environment), r15..r12, rbx, rbp, and a "return address" into
+  // psd_fiber_entry, which it reaches with rsp 16-byte aligned as the ABI
+  // requires at a call. rbx carries `this`, r12 the entry function, and a
+  // zero rbp ends frame-pointer chains.
+  uintptr_t top = reinterpret_cast<uintptr_t>(stack_.get() + kStackBytes) & ~uintptr_t{15};
+  auto* frame = reinterpret_cast<uint64_t*>(top - 88);
+  uint16_t fpu_cw;
+  asm("fnstcw %0" : "=m"(fpu_cw));
+  frame[0] = fpu_cw;
+  frame[1] = __builtin_ia32_stmxcsr();
+  frame[2] = 0;  // r15
+  frame[3] = 0;  // r14
+  frame[4] = 0;  // r13
+  frame[5] = reinterpret_cast<uint64_t>(&SimThread::FiberEntry);  // r12
+  frame[6] = reinterpret_cast<uint64_t>(this);                     // rbx
+  frame[7] = 0;                                                    // rbp
+  frame[8] = reinterpret_cast<uint64_t>(&psd_fiber_entry);
+  fiber_ctx_ = frame;
+  return_ctx_ = nullptr;
+#else
   getcontext(&fiber_ctx_);
   fiber_ctx_.uc_stack.ss_sp = stack_.get();
   fiber_ctx_.uc_stack.ss_size = kStackBytes;
@@ -254,16 +354,26 @@ SimThread::SimThread(Simulator* sim, std::string name, HostCpu* cpu, std::functi
   uintptr_t self = reinterpret_cast<uintptr_t>(this);
   makecontext(&fiber_ctx_, reinterpret_cast<void (*)()>(&SimThread::FiberTrampoline), 2,
               static_cast<unsigned>(self >> 32), static_cast<unsigned>(self & 0xffffffffu));
+#endif
 }
+
+#if defined(__x86_64__)
+void SimThread::SwitchContext(FiberContext* save, FiberContext* load) {
+  psd_fiber_switch(save, *load);
+}
+#else
+void SimThread::SwitchContext(FiberContext* save, FiberContext* load) { swapcontext(save, load); }
 
 void SimThread::FiberTrampoline(unsigned hi, unsigned lo) {
   uintptr_t p = (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
-  reinterpret_cast<SimThread*>(p)->FiberMain();
+  FiberEntry(reinterpret_cast<SimThread*>(p));
 }
+#endif
 
 void SimThread::FiberMain() {
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().ArriveFiber(&prof_ctx_, name_);
+  FinishSwitch(nullptr, &caller_stack_, &caller_stack_size_);
+  if (HostProfiler* prof = HostProfiler::active()) {
+    prof->ArriveFiber(&prof_ctx_, name_);
   }
   try {
     CheckShutdown();
@@ -276,11 +386,14 @@ void SimThread::FiberMain() {
   }
   finished_ = true;
   parked_ = true;
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().Depart();
+  if (HostProfiler* prof = HostProfiler::active()) {
+    prof->Depart();
   }
-  // Final exit; whoever entered this fiber frees the stack.
-  swapcontext(&fiber_ctx_, &return_ctx_);
+  // Final exit; whoever entered this fiber frees the stack (and ASan its
+  // fake stack, given no slot to save it in).
+  StartSwitch(nullptr, caller_stack_, caller_stack_size_);
+  SwitchContext(&fiber_ctx_, &return_ctx_);
+  __builtin_unreachable();
 }
 
 void SimThread::RunUntilBlocked() {
@@ -289,15 +402,18 @@ void SimThread::RunUntilBlocked() {
   // (this frame's context survives the swap on our stack), charge the swap
   // gap to fiber.swap, and restore on return.
   uint32_t prof_prev = 0;
-  if (HostProfiler::enabled()) {
-    prof_prev = HostProfiler::Get().Depart();
+  if (HostProfiler* prof = HostProfiler::active()) {
+    prof_prev = prof->Depart();
   }
   // Each entry freshly records the caller's context, so nested drain chains
   // (fiber A drains and enters fiber B, which later yields) unwind to the
   // right frame.
-  swapcontext(&return_ctx_, &fiber_ctx_);
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().Arrive(prof_prev);
+  void* fake_stack = nullptr;
+  StartSwitch(&fake_stack, stack_.get(), kStackBytes);
+  SwitchContext(&return_ctx_, &fiber_ctx_);
+  FinishSwitch(fake_stack, nullptr, nullptr);
+  if (HostProfiler* prof = HostProfiler::active()) {
+    prof->Arrive(prof_prev);
   }
   if (finished_ && stack_ != nullptr) {
     stack_.reset();  // dead fibers keep their SimThread, not their stack
@@ -306,12 +422,15 @@ void SimThread::RunUntilBlocked() {
 
 void SimThread::YieldToSimulator() {
   parked_ = true;
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().Depart();
+  if (HostProfiler* prof = HostProfiler::active()) {
+    prof->Depart();
   }
-  swapcontext(&fiber_ctx_, &return_ctx_);
-  if (HostProfiler::enabled()) {
-    HostProfiler::Get().ArriveFiber(&prof_ctx_, name_);
+  void* fake_stack = nullptr;
+  StartSwitch(&fake_stack, caller_stack_, caller_stack_size_);
+  SwitchContext(&fiber_ctx_, &return_ctx_);
+  FinishSwitch(fake_stack, &caller_stack_, &caller_stack_size_);
+  if (HostProfiler* prof = HostProfiler::active()) {
+    prof->ArriveFiber(&prof_ctx_, name_);
   }
   CheckShutdown();
 }

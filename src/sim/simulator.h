@@ -2,13 +2,14 @@
 //
 // Execution model:
 //  * A single thread of control — literally: SimThreads are fibers
-//    (ucontext stacks) multiplexed on the caller's OS thread. User code
-//    still runs in ordinary blocking style; control transfers are direct
-//    swapcontext jumps (~100ns) instead of futex round trips, which is
-//    what makes the per-event cost independent of host scheduler load.
-//    Exactly one of {event loop, some SimThread} runs at any instant, so
-//    simulation state needs no locking and runs are bit-for-bit
-//    reproducible.
+//    (heap stacks) multiplexed on the caller's OS thread. User code still
+//    runs in ordinary blocking style; a control transfer is a register
+//    switch (x86-64: a few ns, callee-saved registers and the FP control
+//    words, no syscall; elsewhere a ucontext swapcontext) instead of a
+//    futex round trip, which is what makes the per-event cost independent
+//    of host scheduler load. Exactly one of {event loop, some SimThread}
+//    runs at any instant, so simulation state needs no locking and runs
+//    are bit-for-bit reproducible.
 //  * Virtual time advances only between events. Events at equal times run in
 //    schedule order (monotonic sequence tie-break).
 //  * CPU time is modelled per host by HostCpu: charging N ns of CPU occupies
@@ -28,7 +29,9 @@
 #ifndef PSD_SRC_SIM_SIMULATOR_H_
 #define PSD_SRC_SIM_SIMULATOR_H_
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstdint>
 #include <functional>
@@ -138,10 +141,9 @@ class Simulator {
   // Number of Schedule() calls whose target time was already in the past.
   uint64_t past_time_clamps() const { return past_time_clamps_; }
 
-  // Number of OS-level control transfers into a SimThread (each implies a
-  // matching park of the transferring side: two futex round trips on a
-  // contended host). The engine fast paths exist to minimize this number;
-  // bench/bench_engine reports it per packet.
+  // Number of control transfers into a SimThread (each implies a matching
+  // park of the transferring side). The engine fast paths exist to
+  // minimize this number; bench/bench_engine reports it per packet.
   uint64_t thread_switches() const { return thread_switches_; }
 
   // True when PSD_SIM_HEAP_SCHEDULER selected the legacy heap backend.
@@ -192,7 +194,6 @@ class Simulator {
   bool stopped_ = false;
   bool shutting_down_ = false;
   bool in_run_ = false;
-  bool trace_ = false;
   SimTime run_until_ = 0;
   SimThread* current_ = nullptr;
 
@@ -245,7 +246,18 @@ class SimThread {
 
   SimThread(Simulator* sim, std::string name, HostCpu* cpu, std::function<void()> body);
 
+  // Saved context of a suspended side of a control transfer. x86-64: the
+  // stack pointer below which the register switch (simulator.cc) pushed
+  // that side's callee-saved state. Elsewhere: a ucontext.
+#if defined(__x86_64__)
+  using FiberContext = void*;
+#else
+  using FiberContext = ucontext_t;
   static void FiberTrampoline(unsigned hi, unsigned lo);
+#endif
+  static void SwitchContext(FiberContext* save, FiberContext* load);
+  static void FiberEntry(SimThread* self) { self->FiberMain(); }
+
   void FiberMain();
   // Transfers control into this thread's fiber; returns when it yields or
   // finishes. The caller's context becomes this fiber's return target.
@@ -262,9 +274,14 @@ class SimThread {
   // stack is freed the moment the body finishes (threads accumulate in
   // Simulator::threads_ over a run, their stacks must not).
   static constexpr size_t kStackBytes = 1024 * 1024;
-  ucontext_t fiber_ctx_;
-  ucontext_t return_ctx_;
+  FiberContext fiber_ctx_;
+  FiberContext return_ctx_;
   std::unique_ptr<uint8_t[]> stack_;
+  // Stack of whoever last entered this fiber, as ASan builds learn it on
+  // each arrival; a yield announces the switch back to it. Unused
+  // otherwise.
+  const void* caller_stack_ = nullptr;
+  size_t caller_stack_size_ = 0;
   std::function<void()> body_;  // consumed at first entry
 
   bool finished_ = false;

@@ -6,6 +6,7 @@
 #ifndef PSD_SRC_TESTBED_WORLD_H_
 #define PSD_SRC_TESTBED_WORLD_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,6 +81,26 @@ class World {
     SimThread* t = sim_.Spawn(name, nodes_[i]->host->cpu(), std::move(body));
     app_threads_.push_back(t);
     return t;
+  }
+
+  // Runs `fn` to completion on a fresh app thread of host `i`, from the
+  // current virtual time, for test code that needs thread context (e.g. to
+  // inspect a stack under its DomainLock: a SimMutex blocks, so only a
+  // SimThread may take it). Stops the simulator as soon as `fn` returns, so
+  // virtual time advances only by what `fn` charges. Returns false (and
+  // unwinds the thread) if `fn` is still blocked a virtual second later.
+  bool RunInThread(int i, const std::function<void()>& fn) {
+    bool done = false;
+    SimThread* t = SpawnApp(i, "inline", [&] {
+      fn();
+      done = true;
+      sim_.Stop();
+    });
+    sim_.RunFor(Seconds(1));
+    if (!done) {
+      sim_.KillThread(t);
+    }
+    return done;
   }
 
   // Attaches the observability tracer to every component on host `i`

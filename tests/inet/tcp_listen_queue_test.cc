@@ -131,20 +131,20 @@ TEST_F(ListenQueueTest, EstablishTimerReleasesEmbryonicSlots) {
   w.sim().RunFor(Seconds(1));
   TcpPcb* listener = FindListener(1, 5001);
   ASSERT_NE(listener, nullptr);
-  {
+  EXPECT_TRUE(w.RunInThread(1, [&] {
     DomainLock lock(w.kernel_node(1)->stack()->sync());
     EXPECT_EQ(listener->syn_backlog, 3);
     EXPECT_EQ(listener->embryonic, 3);
-  }
+  }));
   EXPECT_EQ(DropLedger::Get().total(DropReason::kTcpListenOverflow), 1u);
 
   // The establishment timer (75 s) reaps all three half-open children and
   // must hand their SYN-half slots back.
   w.sim().RunFor(Seconds(80));
-  {
+  EXPECT_TRUE(w.RunInThread(1, [&] {
     DomainLock lock(w.kernel_node(1)->stack()->sync());
     EXPECT_EQ(listener->embryonic, 0) << "reaped embryonic children leaked their listen slots";
-  }
+  }));
 
   // With the slots released a real client connects; with the leak it is
   // refused until its own establishment timer gives up.
@@ -182,12 +182,12 @@ TEST_F(ListenQueueTest, SynHalfBoundIsIndependentOfAcceptHalf) {
   w.sim().RunFor(Seconds(1));
   TcpPcb* listener = FindListener(1, 5002);
   ASSERT_NE(listener, nullptr);
-  {
+  EXPECT_TRUE(w.RunInThread(1, [&] {
     DomainLock lock(w.kernel_node(1)->stack()->sync());
     EXPECT_EQ(listener->syn_backlog, 6);
     EXPECT_EQ(listener->embryonic, 6);  // 8 SYNs, 6 admitted
     EXPECT_TRUE(listener->accept_ready.empty());
-  }
+  }));
   EXPECT_EQ(DropLedger::Get().total(DropReason::kTcpListenOverflow), 2u);
 }
 
@@ -211,18 +211,20 @@ TEST_F(ListenQueueTest, ListenPathMssFollowsRouteWhenOptionAbsent) {
   });
   w.sim().RunFor(Seconds(1));
 
-  DomainLock lock(w.kernel_node(1)->stack()->sync());
-  TcpPcb* with_small = FindByRemote(1, SockAddrIn{ghost, 22001});
-  TcpPcb* with_large = FindByRemote(1, SockAddrIn{ghost, 22002});
-  TcpPcb* without = FindByRemote(1, SockAddrIn{ghost, 22003});
-  ASSERT_NE(with_small, nullptr);
-  ASSERT_NE(with_large, nullptr);
-  ASSERT_NE(without, nullptr);
-  EXPECT_EQ(with_small->t_maxseg, 1000);       // peer's advertisement honoured
-  EXPECT_EQ(with_large->t_maxseg, kTcpEtherMss);  // clamped to the on-link route
-  EXPECT_EQ(without->t_maxseg, kTcpEtherMss)
-      << "peer without an MSS option fell back to the global default "
-         "instead of the route MSS";
+  EXPECT_TRUE(w.RunInThread(1, [&] {
+    DomainLock lock(w.kernel_node(1)->stack()->sync());
+    TcpPcb* with_small = FindByRemote(1, SockAddrIn{ghost, 22001});
+    TcpPcb* with_large = FindByRemote(1, SockAddrIn{ghost, 22002});
+    TcpPcb* without = FindByRemote(1, SockAddrIn{ghost, 22003});
+    ASSERT_NE(with_small, nullptr);
+    ASSERT_NE(with_large, nullptr);
+    ASSERT_NE(without, nullptr);
+    EXPECT_EQ(with_small->t_maxseg, 1000);          // peer's advertisement honoured
+    EXPECT_EQ(with_large->t_maxseg, kTcpEtherMss);  // clamped to the on-link route
+    EXPECT_EQ(without->t_maxseg, kTcpEtherMss)
+        << "peer without an MSS option fell back to the global default "
+           "instead of the route MSS";
+  }));
 }
 
 }  // namespace

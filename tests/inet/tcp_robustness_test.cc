@@ -197,16 +197,18 @@ TEST(TcpRobustness, ListenBacklogLimitsPendingConnections) {
   // The admitted children all completed their handshakes, so the listener
   // holds exactly syn_backlog accept-ready children and no embryonic ones.
   Stack* server = w.stack(1);
-  DomainLock lock(server->sync());
-  TcpPcb* listener = nullptr;
-  for (const auto& pcb : server->tcp().pcbs()) {
-    if (pcb->state == TcpState::kListen) {
-      listener = pcb.get();
+  EXPECT_TRUE(w.RunInThread(1, [&] {
+    DomainLock lock(server->sync());
+    TcpPcb* listener = nullptr;
+    for (const auto& pcb : server->tcp().pcbs()) {
+      if (pcb->state == TcpState::kListen) {
+        listener = pcb.get();
+      }
     }
-  }
-  ASSERT_NE(listener, nullptr);
-  EXPECT_EQ(listener->embryonic, 0);
-  EXPECT_EQ(static_cast<int>(listener->accept_ready.size()), 3);
+    ASSERT_NE(listener, nullptr);
+    EXPECT_EQ(listener->embryonic, 0);
+    EXPECT_EQ(static_cast<int>(listener->accept_ready.size()), 3);
+  }));
 }
 
 }  // namespace

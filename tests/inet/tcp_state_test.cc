@@ -249,39 +249,44 @@ class TcpPortLifecycleTest : public ::testing::Test {
 
 TEST_F(TcpPortLifecycleTest, MigratedOutPcbKeepsPortAllocated) {
   Stack* s = stack();
-  DomainLock lock(s->sync());
-  TcpPcb* pcb = s->tcp().Create();
-  ASSERT_TRUE(s->tcp().Bind(pcb, SockAddrIn{Ipv4Addr::Any(), 0}).ok());
-  uint16_t port = pcb->local.port;
-  ASSERT_NE(port, 0);
-  ASSERT_TRUE(s->ports().InUse(port));
-  // Migrate out: the pcb leaves this stack, but the session lives on at its
-  // new home under the same name — releasing the port here would let a new
-  // session acquire a duplicate while the migrated one is still live.
-  (void)s->tcp().ExtractForMigration(pcb);
-  EXPECT_TRUE(s->tcp().pcbs().empty());
-  EXPECT_TRUE(s->ports().InUse(port));
-  s->ports().Release(port);  // what the session's owner does at teardown
+  EXPECT_TRUE(w.RunInThread(0, [&] {
+    DomainLock lock(s->sync());
+    TcpPcb* pcb = s->tcp().Create();
+    ASSERT_TRUE(s->tcp().Bind(pcb, SockAddrIn{Ipv4Addr::Any(), 0}).ok());
+    uint16_t port = pcb->local.port;
+    ASSERT_NE(port, 0);
+    ASSERT_TRUE(s->ports().InUse(port));
+    // Migrate out: the pcb leaves this stack, but the session lives on at
+    // its new home under the same name — releasing the port here would let
+    // a new session acquire a duplicate while the migrated one is still
+    // live.
+    (void)s->tcp().ExtractForMigration(pcb);
+    EXPECT_TRUE(s->tcp().pcbs().empty());
+    EXPECT_TRUE(s->ports().InUse(port));
+    s->ports().Release(port);  // what the session's owner does at teardown
+  }));
 }
 
 TEST_F(TcpPortLifecycleTest, ListenerClosingFirstPassesPortToChildren) {
   Stack* s = stack();
-  DomainLock lock(s->sync());
-  TcpPcb* listener = s->tcp().Create();
-  ASSERT_TRUE(s->tcp().Bind(listener, SockAddrIn{Ipv4Addr::Any(), 7777}).ok());
-  TcpPcb* c1 = s->tcp().Create();
-  s->tcp().AdoptBinding(c1, listener->local);
-  TcpPcb* c2 = s->tcp().Create();
-  s->tcp().AdoptBinding(c2, listener->local);
-  // The owner dies first: the shared port must stay allocated for the
-  // children, and the last of them must release it (the pre-harness code
-  // leaked it here because no survivor owned the binding).
-  s->tcp().Destroy(listener);
-  EXPECT_TRUE(s->ports().InUse(7777));
-  s->tcp().Destroy(c1);
-  EXPECT_TRUE(s->ports().InUse(7777));
-  s->tcp().Destroy(c2);
-  EXPECT_FALSE(s->ports().InUse(7777));
+  EXPECT_TRUE(w.RunInThread(0, [&] {
+    DomainLock lock(s->sync());
+    TcpPcb* listener = s->tcp().Create();
+    ASSERT_TRUE(s->tcp().Bind(listener, SockAddrIn{Ipv4Addr::Any(), 7777}).ok());
+    TcpPcb* c1 = s->tcp().Create();
+    s->tcp().AdoptBinding(c1, listener->local);
+    TcpPcb* c2 = s->tcp().Create();
+    s->tcp().AdoptBinding(c2, listener->local);
+    // The owner dies first: the shared port must stay allocated for the
+    // children, and the last of them must release it (the pre-harness code
+    // leaked it here because no survivor owned the binding).
+    s->tcp().Destroy(listener);
+    EXPECT_TRUE(s->ports().InUse(7777));
+    s->tcp().Destroy(c1);
+    EXPECT_TRUE(s->ports().InUse(7777));
+    s->tcp().Destroy(c2);
+    EXPECT_FALSE(s->ports().InUse(7777));
+  }));
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/obs/probe.h"
@@ -215,6 +219,149 @@ TEST(Simulator, DeterministicAcrossRuns) {
     return trace;
   };
   EXPECT_EQ(run(), run());
+}
+
+// --- Fiber contract: what a control transfer must preserve ---------------
+
+// Misalignment of a fresh 16-aligned local in a new frame. The asm hides the
+// address from the optimizer, which would otherwise fold the remainder to 0
+// on the ABI's promise that the stack is aligned.
+[[gnu::noinline]] uintptr_t FreshLocalMisalignment() {
+  alignas(16) char buf[16];
+  uintptr_t v = reinterpret_cast<uintptr_t>(buf);
+  asm volatile("" : "+r"(v) : : "memory");
+  return v % 16;
+}
+
+TEST(FiberContract, StackIsAlignedAtEntryAndAfterResume) {
+  Simulator sim;
+  HostCpu cpu;
+  std::vector<uintptr_t> misalignment;
+  for (int i = 0; i < 2; i++) {
+    sim.Spawn("t" + std::to_string(i), &cpu, [&] {
+      misalignment.push_back(FreshLocalMisalignment());
+      sim.current_thread()->Charge(Micros(10));  // the other fiber runs
+      misalignment.push_back(FreshLocalMisalignment());
+    });
+  }
+  sim.Run();
+  EXPECT_EQ(misalignment, (std::vector<uintptr_t>{0, 0, 0, 0}));
+  EXPECT_GT(sim.thread_switches(), 2u);
+}
+
+// The FP control state (x87 control word, MXCSR) belongs to the fiber: a
+// rounding mode set in one is not seen by another and survives a switch.
+TEST(FiberContract, RoundingModeIsPerFiber) {
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest_third = one / three;
+  Simulator sim;
+  HostCpu cpu;
+  int a_set = -1, a_resumed = -1, b_saw = -1;
+  double a_third = 0, b_third = 0;
+  sim.Spawn("a", &cpu, [&] {
+    std::fesetround(FE_UPWARD);
+    a_set = std::fegetround();
+    sim.current_thread()->Yield();  // b runs here
+    a_resumed = std::fegetround();
+    a_third = one / three;
+    std::fesetround(FE_TONEAREST);
+  });
+  sim.Spawn("b", &cpu, [&] {
+    b_saw = std::fegetround();
+    b_third = one / three;
+  });
+  sim.Run();
+  EXPECT_EQ(a_set, FE_UPWARD);
+  EXPECT_EQ(b_saw, FE_TONEAREST);
+  EXPECT_EQ(a_resumed, FE_UPWARD);
+  EXPECT_EQ(b_third, nearest_third) << "b computed under a's rounding mode";
+  EXPECT_GT(a_third, nearest_third) << "a lost its rounding mode across the switch";
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST) << "a fiber's mode leaked into the caller";
+}
+
+// Exceptions unwind the fiber's own frames after the fiber was switched out
+// and back in mid-try.
+TEST(FiberContract, ExceptionCaughtInsideFiberAcrossSleep) {
+  Simulator sim;
+  HostCpu cpu_a, cpu_b;
+  std::vector<std::string> caught;
+  for (const char* name : {"a", "b"}) {
+    sim.Spawn(name, name[0] == 'a' ? &cpu_a : &cpu_b, [&, name] {
+      for (int i = 0; i < 3; i++) {
+        try {
+          sim.current_thread()->SleepFor(Micros(name[0] == 'a' ? 3 : 5));
+          throw std::runtime_error(std::string(name) + std::to_string(i));
+        } catch (const std::runtime_error& e) {
+          caught.push_back(e.what());
+        }
+      }
+    });
+  }
+  sim.Run();
+  // a wakes at 3, 6, 9 us; b at 5, 10, 15 us.
+  EXPECT_EQ(caught, (std::vector<std::string>{"a0", "b0", "a1", "a2", "b1", "b2"}));
+}
+
+// ~Simulator force-unwinds a fiber blocked forever; its stack objects are
+// destroyed on the way out.
+TEST(FiberContract, ShutdownUnwindRunsStackDestructors) {
+  struct Sentinel {
+    int* destroyed;
+    ~Sentinel() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  bool woken = false;
+  {
+    Simulator sim;
+    HostCpu cpu;
+    WaitQueue never(&sim);
+    sim.Spawn("blocked", &cpu, [&] {
+      Sentinel outer{&destroyed};
+      [&] {
+        Sentinel inner{&destroyed};
+        sim.current_thread()->WaitOn(&never);
+        woken = true;
+      }();
+    });
+    sim.Run();
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_FALSE(woken);
+}
+
+// Fiber a's inline drain enters parked fiber b; b blocks on a wakeup behind
+// a's own, so it yields back into a's drain, and a continues in its own frame
+// without a trip through the event loop.
+TEST(FiberContract, DrainEntersParkedFiberThenResumesOwnFrame) {
+  Simulator sim;
+  HostCpu cpu_a, cpu_b;
+  std::vector<std::string> log;
+  const int* local_before = nullptr;
+  const int* local_after = nullptr;
+  int local_value = 0;
+  sim.Spawn("a", &cpu_a, [&] {
+    int local = 42;
+    local_before = &local;
+    log.push_back("a start");
+    sim.current_thread()->SleepFor(Micros(1));  // drain enters b
+    log.push_back("a resumed");
+    local_after = &local;
+    local_value = local;
+  });
+  sim.Spawn("b", &cpu_b, [&] {
+    log.push_back("b start");
+    sim.current_thread()->SleepFor(Micros(10));
+    log.push_back("b resumed");
+  });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"a start", "b start", "a resumed", "b resumed"}));
+  EXPECT_EQ(local_before, local_after);
+  EXPECT_EQ(local_value, 42);
+  // loop -> a, a's drain -> b, loop -> b at 10 us: b's start rode a's drain.
+  EXPECT_EQ(sim.thread_switches(), 3u);
+  EXPECT_EQ(sim.Now(), Micros(10));
 }
 
 TEST(Probe, NestedSpansExcludeChildren) {
